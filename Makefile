@@ -51,9 +51,13 @@ bench-compare:
 # conflict hand-off, group acquisition) piped straight into the archived
 # allocs-only gate, so an alloc regression on the hot path fails CI even
 # between full bench sweeps. Time-based -benchtime so warm-up allocations
-# (pools, freelists, first map growth) amortize out of allocs/op.
+# (pools, freelists, first map growth) amortize out of allocs/op. -cpu 1
+# matches the archive, which was recorded with GOMAXPROCS=1: allocs/op
+# can depend on the proc count (the per-shard metrics breakdown follows
+# the default shard count), so a multi-core host would otherwise compare
+# unlike with unlike.
 benchsmoke:
-	$(GO) test -run xxx -bench 'BenchmarkManagerUncontended|BenchmarkManagerConflict$$|BenchmarkManagerLockAll|BenchmarkMetricsSnapshot' -benchtime 50ms -benchmem . | $(GO) run ./cmd/benchjson compare -allocs-only $(BENCH_OUT).json -
+	$(GO) test -run xxx -bench 'BenchmarkManagerUncontended|BenchmarkManagerConflict$$|BenchmarkManagerLockAll|BenchmarkMetricsSnapshot' -benchtime 50ms -benchmem -cpu 1 . | $(GO) run ./cmd/benchjson compare -allocs-only $(BENCH_OUT).json -
 
 # The gate CI runs: everything must pass, including the race detector
 # over the cross-shard stress tests, the static analyzers, and the

@@ -5,7 +5,8 @@ package hwtwbg
 // Tests that only exist in `go test -tags=invariants` runs: they arm
 // Options.Audit and require the runtime invariant auditor to check
 // every detector activation — TDR-1 aborts, TDR-2 repositionings and
-// idle passes, under both activation strategies — and to find nothing.
+// idle passes, under the production activation and the stop-the-world
+// oracle — and to find nothing.
 // The differential and false-cycle tests in differential_test.go also
 // arm the auditor, so a tagged run re-verifies the paper's properties
 // across the whole randomized workload suite via assertAuditClean.
@@ -37,20 +38,21 @@ func auditedDeadlock(t *testing.T, m *Manager) chan error {
 }
 
 // TestAuditorChecksEveryActivation runs a TDR-1 activation and an idle
-// activation under each detector strategy and requires one clean,
-// correctly-labelled report per activation.
+// activation under the production activation and the stop-the-world
+// oracle and requires one clean, correctly-labelled report per
+// activation.
 func TestAuditorChecksEveryActivation(t *testing.T) {
-	for _, det := range []string{DetectorSTW, DetectorSnapshot} {
+	for _, det := range []string{labelSTW, labelSnapshot} {
 		t.Run(det, func(t *testing.T) {
-			m := Open(Options{Shards: 4, Detector: det, Audit: true})
+			m, detect := openLabelled(det, Options{Shards: 4, Audit: true})
 			defer m.Close()
 			errs := auditedDeadlock(t, m)
-			if st := m.Detect(); st.Aborted != 1 {
+			if st := detect(); st.Aborted != 1 {
 				t.Fatalf("activation = %+v, want one abort", st)
 			}
 			<-errs
 			<-errs
-			if st := m.Detect(); st.CyclesSearched != 0 {
+			if st := detect(); st.CyclesSearched != 0 {
 				t.Fatalf("second activation = %+v, want idle", st)
 			}
 			if n := m.AuditRuns(); n != 2 {
@@ -80,9 +82,9 @@ func TestAuditorChecksEveryActivation(t *testing.T) {
 // the auditor armed: the repositioning must survive the genuine-cycle
 // and post-resolution acyclicity checks.
 func TestAuditorTDR2Activation(t *testing.T) {
-	for _, det := range []string{DetectorSTW, DetectorSnapshot} {
+	for _, det := range []string{labelSTW, labelSnapshot} {
 		t.Run(det, func(t *testing.T) {
-			m := Open(Options{Detector: det, Audit: true})
+			m, detect := openLabelled(det, Options{Audit: true})
 			defer m.Close()
 			ctx := context.Background()
 			t1, t2, t3 := m.Begin(), m.Begin(), m.Begin()
@@ -99,7 +101,7 @@ func TestAuditorTDR2Activation(t *testing.T) {
 			waitBlocked(t, m, t3.ID())
 			go func() { lockErr <- t1.Lock(ctx, "h", S) }()
 			waitBlocked(t, m, t1.ID())
-			if st := m.Detect(); st.Repositioned != 1 || st.Aborted != 0 {
+			if st := detect(); st.Repositioned != 1 || st.Aborted != 0 {
 				t.Fatalf("activation = %+v, want one repositioning and no aborts", st)
 			}
 			if n := m.AuditRuns(); n != 1 {

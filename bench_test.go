@@ -508,7 +508,7 @@ func BenchmarkDetectorActivation(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			const shards = 32
-			m := Open(Options{Shards: shards, Detector: DetectorSnapshot, IncrementalSnapshot: IncrementalOn})
+			m := Open(Options{Shards: shards})
 			defer m.Close()
 			ctx := context.Background()
 			pin := m.Begin()

@@ -1,6 +1,6 @@
 // Differential tests for the snapshot detector: drive the stop-the-world
-// and snapshot detectors to the same quiesced lock-table state over
-// randomized workloads and require identical decisions — same cycles,
+// oracle and the snapshot detector to the same quiesced lock-table state
+// over randomized workloads and require identical decisions — same cycles,
 // same TDR-1 victims, same TDR-2 repositionings, same resulting table —
 // plus deterministic coverage of the torn-snapshot path (a cycle broken
 // between copy-out and the algorithm must be dropped at validation, not
@@ -86,13 +86,14 @@ func historyKey(evs []Event) string {
 	return s
 }
 
-// TestDifferentialSTWvsSnapshot builds randomized quiesced states in a
-// DetectorSTW manager, a full-copy DetectorSnapshot manager and an
-// incremental DetectorSnapshot manager and asserts all three detectors
-// resolve them identically, activation by activation. The incremental
-// manager runs the epoch-gated shard-skip path (detector repositions
-// and aborts invalidate its snapshot, so later rounds also cover
-// recovery from detector surgery).
+// TestDifferentialSTWvsSnapshot builds randomized quiesced states in
+// three managers — one driven by the stop-the-world oracle, one by
+// all-dirty (full-copy) activations, one by the production incremental
+// activation — and asserts all three resolve them identically,
+// activation by activation. The incremental manager runs the
+// epoch-gated shard-skip path (detector repositions and aborts
+// invalidate its snapshot, so later rounds also cover recovery from
+// detector surgery).
 func TestDifferentialSTWvsSnapshot(t *testing.T) {
 	modes := []Mode{IS, IX, S, SIX, X}
 	totalCycles, totalAborts := 0, 0
@@ -112,9 +113,9 @@ func TestDifferentialSTWvsSnapshot(t *testing.T) {
 				}
 			}
 
-			mSTW := Open(Options{Shards: 4, Detector: DetectorSTW, Audit: true})
-			mSnap := Open(Options{Shards: 4, Detector: DetectorSnapshot, Audit: true, IncrementalSnapshot: IncrementalOff})
-			mInc := Open(Options{Shards: 4, Detector: DetectorSnapshot, Audit: true, IncrementalSnapshot: IncrementalOn})
+			mSTW := openSTW(Options{Shards: 4, Audit: true})
+			mSnap := Open(Options{Shards: 4, Audit: true})
+			mInc := Open(Options{Shards: 4, Audit: true})
 			ctx, cancel := context.WithCancel(context.Background())
 			defer func() {
 				cancel()
@@ -122,7 +123,7 @@ func TestDifferentialSTWvsSnapshot(t *testing.T) {
 				mSnap.Close()
 				mInc.Close()
 			}()
-			applyWorkload(t, mSTW, table.New(), ops, nTxns, ctx)
+			applyWorkload(t, mSTW.Manager, table.New(), ops, nTxns, ctx)
 			applyWorkload(t, mSnap, table.New(), ops, nTxns, ctx)
 			applyWorkload(t, mInc, table.New(), ops, nTxns, ctx)
 
@@ -138,7 +139,7 @@ func TestDifferentialSTWvsSnapshot(t *testing.T) {
 					t.Fatalf("detector did not quiesce after %d rounds", round)
 				}
 				stSTW := mSTW.Detect()
-				stSnap := mSnap.Detect()
+				stSnap := detectAllDirty(mSnap)
 				stInc := mInc.Detect()
 				if stSTW.CyclesSearched != stSnap.CyclesSearched ||
 					stSTW.Aborted != stSnap.Aborted ||
@@ -180,7 +181,7 @@ func TestDifferentialSTWvsSnapshot(t *testing.T) {
 			if mSTW.Deadlocked() || mSnap.Deadlocked() || mInc.Deadlocked() {
 				t.Fatal("deadlock left unresolved")
 			}
-			assertAuditClean(t, mSTW)
+			assertAuditClean(t, mSTW.Manager)
 			assertAuditClean(t, mSnap)
 			assertAuditClean(t, mInc)
 		})
@@ -205,8 +206,8 @@ func shardResource(t testing.TB, m *Manager, idx uint32, salt int) ResourceID {
 	return ""
 }
 
-// TestDifferentialChurnSkewed drives the incremental and full-copy
-// snapshot detectors through a churn-skewed workload — every shard
+// TestDifferentialChurnSkewed drives the incremental and all-dirty
+// (full-copy) activations through a churn-skewed workload — every shard
 // pinned by a long-lived holder, then all mutation confined to one hot
 // shard — asserting byte-identical lock tables and identical detector
 // decisions at every activation, and that the incremental manager's
@@ -214,8 +215,8 @@ func shardResource(t testing.TB, m *Manager, idx uint32, salt int) ResourceID {
 // recopied.
 func TestDifferentialChurnSkewed(t *testing.T) {
 	const shards = 16
-	mFull := Open(Options{Shards: shards, Detector: DetectorSnapshot, Audit: true, IncrementalSnapshot: IncrementalOff})
-	mInc := Open(Options{Shards: shards, Detector: DetectorSnapshot, Audit: true, IncrementalSnapshot: IncrementalOn})
+	mFull := Open(Options{Shards: shards, Audit: true})
+	mInc := Open(Options{Shards: shards, Audit: true})
 	defer mFull.Close()
 	defer mInc.Close()
 	ctx := context.Background()
@@ -257,7 +258,7 @@ func TestDifferentialChurnSkewed(t *testing.T) {
 				tx.Recycle()
 			}
 		}
-		stFull := mFull.Detect()
+		stFull := detectAllDirty(mFull)
 		stInc := mInc.Detect()
 		if stFull.CyclesSearched != stInc.CyclesSearched || stFull.Aborted != stInc.Aborted ||
 			stFull.Repositioned != stInc.Repositioned || stInc.FalseCycles != 0 {
@@ -295,7 +296,7 @@ func TestDifferentialChurnSkewed(t *testing.T) {
 // is the -race interleaving of epoch bumps, shard copies and skip
 // decisions against live mutation, plus the no-spurious-abort check.
 func TestIncrementalSnapshotHammer(t *testing.T) {
-	m := Open(Options{Shards: 8, IncrementalSnapshot: IncrementalOn})
+	m := Open(Options{Shards: 8})
 	defer m.Close()
 	const (
 		workers = 4
@@ -484,133 +485,4 @@ func TestSnapshotNoSpuriousAborts(t *testing.T) {
 	if st.Runs == 0 {
 		t.Fatal("background detector never ran")
 	}
-}
-
-// TestAdaptivePeriod checks the self-tuning schedule deterministically:
-// the scheduler loop is driven tick by tick through the injected
-// schedTick channel (no timers, no wall-clock sleeps) and each
-// resulting period is read back over schedNotify. Idle activations
-// double the period toward MaxPeriod; a deadlock halves it.
-func TestAdaptivePeriod(t *testing.T) {
-	tick := make(chan time.Time)
-	notify := make(chan time.Duration, 1)
-	m := Open(Options{
-		Period:         4 * time.Millisecond,
-		AdaptivePeriod: true,
-		MaxPeriod:      32 * time.Millisecond,
-		schedTick:      tick,
-		schedNotify:    notify,
-	})
-	defer m.Close()
-	if got := m.CurrentPeriod(); got != 4*time.Millisecond {
-		t.Fatalf("initial CurrentPeriod = %v, want 4ms", got)
-	}
-	step := func() time.Duration {
-		t.Helper()
-		tick <- time.Time{}
-		select {
-		case d := <-notify:
-			return d
-		case <-time.After(5 * time.Second):
-			t.Fatal("scheduler never reported a period")
-			return 0
-		}
-	}
-	// Idle passes: 4 -> 8 -> 16 -> 32, then pinned at MaxPeriod.
-	for i, want := range []time.Duration{8, 16, 32, 32, 32} {
-		if got := step(); got != want*time.Millisecond {
-			t.Fatalf("idle tick %d: period = %v, want %v", i, got, want*time.Millisecond)
-		}
-	}
-	if got := m.CurrentPeriod(); got != 32*time.Millisecond {
-		t.Fatalf("CurrentPeriod = %v, want pinned at MaxPeriod", got)
-	}
-
-	// Build a deadlock; the next tick's activation resolves it and the
-	// adaptive schedule halves the period.
-	ctx := context.Background()
-	a, b := m.Begin(), m.Begin()
-	if err := a.Lock(ctx, "adapt/u", X); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Lock(ctx, "adapt/v", X); err != nil {
-		t.Fatal(err)
-	}
-	errs := make(chan error, 2)
-	go func() { errs <- a.Lock(ctx, "adapt/v", X) }()
-	waitBlocked(t, m, a.ID())
-	go func() { errs <- b.Lock(ctx, "adapt/u", X) }()
-	waitBlocked(t, m, b.ID())
-	if got := step(); got != 16*time.Millisecond {
-		t.Fatalf("post-deadlock period = %v, want halved to 16ms", got)
-	}
-	<-errs
-	<-errs
-
-	// The floor: repeated deadlock-free ticks cannot push it below
-	// schedBounds' minimum, and repeated deadlocks cannot stall Close.
-	if got := step(); got != 32*time.Millisecond {
-		t.Fatalf("idle tick after deadlock: period = %v, want doubled back to 32ms", got)
-	}
-}
-
-// TestNextAdaptivePeriod pins the pure step function's clamping.
-func TestNextAdaptivePeriod(t *testing.T) {
-	min, max := time.Millisecond, 8*time.Millisecond
-	cases := []struct {
-		cur      time.Duration
-		deadlock bool
-		want     time.Duration
-	}{
-		{4 * time.Millisecond, false, 8 * time.Millisecond},
-		{8 * time.Millisecond, false, 8 * time.Millisecond}, // pinned at max
-		{8 * time.Millisecond, true, 4 * time.Millisecond},
-		{time.Millisecond, true, time.Millisecond}, // pinned at min
-		{1500 * time.Microsecond, true, time.Millisecond},
-	}
-	for _, tc := range cases {
-		if got := nextAdaptivePeriod(tc.cur, tc.deadlock, min, max); got != tc.want {
-			t.Errorf("nextAdaptivePeriod(%v, %v) = %v, want %v", tc.cur, tc.deadlock, got, tc.want)
-		}
-	}
-}
-
-// TestDetectorOptionSelectsSTW double-checks that the fallback strategy
-// is still reachable and reports classic stop-the-world accounting
-// (no Copy/Validate phases, no snapshot counters).
-func TestDetectorOptionSelectsSTW(t *testing.T) {
-	m := Open(Options{Shards: 4, Detector: DetectorSTW})
-	defer m.Close()
-	rs := distinctShardResources(t, m, 2)
-	ctx := context.Background()
-	a, b := m.Begin(), m.Begin()
-	if err := a.Lock(ctx, rs[0], X); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Lock(ctx, rs[1], X); err != nil {
-		t.Fatal(err)
-	}
-	errs := make(chan error, 2)
-	go func() { errs <- a.Lock(ctx, rs[1], X) }()
-	waitBlocked(t, m, a.ID())
-	go func() { errs <- b.Lock(ctx, rs[0], X) }()
-	waitBlocked(t, m, b.ID())
-
-	st := m.Detect()
-	if st.Aborted != 1 {
-		t.Fatalf("stw activation = %+v, want one abort", st)
-	}
-	if st.Validations != 0 || st.FalseCycles != 0 {
-		t.Fatalf("stw activation reports snapshot counters: %+v", st)
-	}
-	reps, _ := m.Activations()
-	rep := reps[len(reps)-1]
-	if rep.Copy != 0 || rep.Validate != 0 {
-		t.Fatalf("stw report has snapshot phases: %+v", rep)
-	}
-	if rep.MaxShardHold <= 0 {
-		t.Fatalf("stw report MaxShardHold = %v, want the full pause", rep.MaxShardHold)
-	}
-	<-errs
-	<-errs // one victim, one survivor granted by the abort
 }

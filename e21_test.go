@@ -11,13 +11,30 @@ import (
 )
 
 // stallStress runs the E20 contended workload (8 workers, two random
-// hot X locks each, real deadlocks throughout) under the given detector
-// strategy and returns the manager's lifetime stats plus the worst
-// per-activation numbers.
-func stallStress(t *testing.T, detector string) (Stats, time.Duration) {
+// hot X locks each, real deadlocks throughout) under the labelled
+// activation — the stop-the-world oracle or the production snapshot
+// detector — ticked every millisecond from a test-side ticker, and
+// returns the manager's lifetime stats plus the worst per-activation
+// numbers.
+func stallStress(t *testing.T, label string) (Stats, time.Duration) {
 	t.Helper()
-	m := Open(Options{Shards: 8, Period: time.Millisecond, Detector: detector, HistorySize: 512})
+	m, detect := openLabelled(label, Options{Shards: 8, HistorySize: 512})
 	defer m.Close()
+	stop := make(chan struct{})
+	ticking := make(chan struct{})
+	go func() {
+		defer close(ticking)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				detect()
+			}
+		}
+	}()
 	const (
 		workers = 8
 		rounds  = 150
@@ -48,6 +65,8 @@ func stallStress(t *testing.T, detector string) (Stats, time.Duration) {
 		}(int64(w + 1))
 	}
 	wg.Wait()
+	close(stop)
+	<-ticking
 
 	st := m.Stats()
 	var worstActivation time.Duration
@@ -61,15 +80,15 @@ func stallStress(t *testing.T, detector string) (Stats, time.Duration) {
 }
 
 // TestE21StallComparison is the EXPERIMENTS.md E21 harness: the same
-// deadlock-heavy workload under DetectorSTW and DetectorSnapshot, with
-// Stats.STWMax as the worst stall either detector imposed on the grant
-// path (the full pause for STW, the longest single-shard copy hold for
-// snapshot). The snapshot detector must stall the grant path less than
-// stop-the-world does — that is this PR's claim. Run with -v for the
-// numbers E21 quotes.
+// deadlock-heavy workload under the stop-the-world oracle and the
+// production snapshot detector, with Stats.STWMax as the worst stall
+// either imposed on the grant path (the full pause for STW, the longest
+// single-shard copy hold for snapshot). The snapshot detector must
+// stall the grant path less than stop-the-world does — that is E21's
+// claim. Run with -v for the numbers E21 quotes.
 func TestE21StallComparison(t *testing.T) {
-	stSTW, worstSTW := stallStress(t, DetectorSTW)
-	stSnap, worstSnap := stallStress(t, DetectorSnapshot)
+	stSTW, worstSTW := stallStress(t, labelSTW)
+	stSnap, worstSnap := stallStress(t, labelSnapshot)
 
 	if stSTW.Runs == 0 || stSnap.Runs == 0 {
 		t.Fatalf("detector idle: stw %d runs, snapshot %d runs", stSTW.Runs, stSnap.Runs)

@@ -14,14 +14,17 @@ import (
 // shard 0, each round closed by one manual detector activation. It
 // returns the summed copy-phase time across the measured activations,
 // the shard copy/skip totals, and a decision transcript for A/B
-// comparison.
-func e25Run(t testing.TB, mode IncrementalMode, rounds int) (copyTotal time.Duration, copied, skipped int, decisions string) {
+// comparison. With full set, every activation is all-dirty (a full
+// copy-out through the same machinery); otherwise it is the production
+// incremental activation.
+func e25Run(t testing.TB, full bool, rounds int) (copyTotal time.Duration, copied, skipped int, decisions string) {
 	const (
 		shards   = 32
 		perShard = 16
 	)
-	m := Open(Options{Shards: shards, Detector: DetectorSnapshot, IncrementalSnapshot: mode})
+	m := Open(Options{Shards: shards})
 	defer m.Close()
+	detect := e25Detect(m, full)
 	ctx := context.Background()
 
 	pin := m.Begin()
@@ -32,7 +35,7 @@ func e25Run(t testing.TB, mode IncrementalMode, rounds int) (copyTotal time.Dura
 			}
 		}
 	}
-	m.Detect() // warm-up: both modes pay one full copy here, outside the measurement
+	detect() // warm-up: both modes pay one full copy here, outside the measurement
 
 	for round := 0; round < rounds; round++ {
 		for i := 0; i < 4; i++ {
@@ -46,7 +49,7 @@ func e25Run(t testing.TB, mode IncrementalMode, rounds int) (copyTotal time.Dura
 			}
 			tx.Recycle()
 		}
-		st := m.Detect()
+		st := detect()
 		decisions += fmt.Sprintf("%d/%d/%d;", st.CyclesSearched, st.Aborted, st.Repositioned)
 		last, ok := m.LastActivation()
 		if !ok {
@@ -59,17 +62,26 @@ func e25Run(t testing.TB, mode IncrementalMode, rounds int) (copyTotal time.Dura
 	return copyTotal, copied, skipped, decisions
 }
 
+// e25Detect returns the activation an E25 arm drives: all-dirty when
+// full, the production incremental one otherwise.
+func e25Detect(m *Manager, full bool) func() Stats {
+	if full {
+		return func() Stats { return detectAllDirty(m) }
+	}
+	return m.Detect
+}
+
 // TestE25IncrementalAB is the EXPERIMENTS.md E25 harness: the same
 // churn-skewed workload (one hot shard out of 32, the rest pinned but
-// untouched) under full-copy and incremental snapshots in the same
-// process. The incremental detector must reach identical decisions
+// untouched) under all-dirty (full-copy) and incremental activations in
+// the same process. The incremental detector must reach identical decisions
 // while copying at most 20% of its shard visits, and its summed
 // copy-phase time must come in at least 3x below the full-copy run's.
 // Run with -v for the measured numbers.
 func TestE25IncrementalAB(t *testing.T) {
 	const rounds = 40
-	fullCopyNs, fullCopied, fullSkipped, fullDec := e25Run(t, IncrementalOff, rounds)
-	incCopyNs, incCopied, incSkipped, incDec := e25Run(t, IncrementalOn, rounds)
+	fullCopyNs, fullCopied, fullSkipped, fullDec := e25Run(t, true, rounds)
+	incCopyNs, incCopied, incSkipped, incDec := e25Run(t, false, rounds)
 
 	t.Logf("full:        copy=%v copied=%d skipped=%d", fullCopyNs, fullCopied, fullSkipped)
 	t.Logf("incremental: copy=%v copied=%d skipped=%d", incCopyNs, incCopied, incSkipped)
@@ -103,16 +115,16 @@ func TestE25IncrementalAB(t *testing.T) {
 // force a full recopy either way; the incremental win lives in the
 // idle majority. Returns the model's final state (D̂ and the derived
 // T*) and the victims' mean blocked time at abort.
-func e25CostRun(t *testing.T, mode IncrementalMode, rounds int) (CostModelState, time.Duration) {
+func e25CostRun(t *testing.T, full bool, rounds int) (CostModelState, time.Duration) {
 	t.Helper()
 	const shards = 32
 	m := Open(Options{
-		Shards:              shards,
-		Scheduling:          SchedulingCostModel,
-		Period:              time.Second, // background ticker stays out of the way
-		IncrementalSnapshot: mode,
+		Shards:     shards,
+		Scheduling: SchedulingCostModel,
+		Period:     time.Second, // background ticker stays out of the way
 	})
 	defer m.Close()
+	detect := e25Detect(m, full)
 	ctx := context.Background()
 
 	pin := m.Begin()
@@ -125,7 +137,7 @@ func e25CostRun(t *testing.T, mode IncrementalMode, rounds int) (CostModelState,
 	}
 	r1 := shardResource(t, m, 0, 2000)
 	r2 := shardResource(t, m, 0, 2001)
-	m.Detect() // warm-up full copy
+	detect() // warm-up full copy
 
 	var victimNs int64
 	victims := 0
@@ -140,7 +152,7 @@ func e25CostRun(t *testing.T, mode IncrementalMode, rounds int) (CostModelState,
 				t.Fatal(err)
 			}
 			tx.Recycle()
-			if st := m.Detect(); st.Aborted != 0 {
+			if st := detect(); st.Aborted != 0 {
 				t.Fatalf("idle activation aborted someone: %+v", st)
 			}
 		}
@@ -165,7 +177,7 @@ func e25CostRun(t *testing.T, mode IncrementalMode, rounds int) (CostModelState,
 		waitBlocked(t, m, a.ID())
 		go cross(b, r1)
 		waitBlocked(t, m, b.ID())
-		if st := m.Detect(); st.Aborted != 1 {
+		if st := detect(); st.Aborted != 1 {
 			t.Fatalf("round %d: activation = %+v, want one abort", round, st)
 		}
 		<-errs
@@ -191,8 +203,8 @@ func e25CostRun(t *testing.T, mode IncrementalMode, rounds int) (CostModelState,
 // Run with -v for D̂, T* and the mean victim blocked time.
 func TestE25CostModelFeedthrough(t *testing.T) {
 	const rounds = 25
-	cmFull, victimFull := e25CostRun(t, IncrementalOff, rounds)
-	cmInc, victimInc := e25CostRun(t, IncrementalOn, rounds)
+	cmFull, victimFull := e25CostRun(t, true, rounds)
+	cmInc, victimInc := e25CostRun(t, false, rounds)
 
 	t.Logf("full:        D-hat=%v T*=%v mean-victim-blocked=%v", cmFull.DetectCost, cmFull.Period, victimFull)
 	t.Logf("incremental: D-hat=%v T*=%v mean-victim-blocked=%v", cmInc.DetectCost, cmInc.Period, victimInc)

@@ -116,7 +116,7 @@ func (m *Manager) History() (events []Event, total int) {
 // Activations returns the most recent detector activation reports (up
 // to Options.HistorySize, default 128), oldest first, and the total
 // number of activations ever run. Each report decomposes one
-// stop-the-world pause into its phases; see ActivationReport.
+// activation into its phases; see ActivationReport.
 func (m *Manager) Activations() (reports []ActivationReport, total int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -84,9 +84,16 @@ func TestBlockAndGrant(t *testing.T) {
 
 func TestDeadlockResolvedByBackgroundDetector(t *testing.T) {
 	var victims atomic.Int32
+	called := make(chan struct{}, 1)
 	m := Open(Options{
-		Period:   2 * time.Millisecond,
-		OnVictim: func(TxnID) { victims.Add(1) },
+		Period: 2 * time.Millisecond,
+		OnVictim: func(TxnID) {
+			victims.Add(1)
+			select {
+			case called <- struct{}{}:
+			default:
+			}
+		},
 	})
 	defer m.Close()
 	a := m.Begin()
@@ -112,6 +119,14 @@ func TestDeadlockResolvedByBackgroundDetector(t *testing.T) {
 	}
 	if aborted != 1 {
 		t.Fatalf("errors: %v / %v, want exactly one ErrAborted", e1, e2)
+	}
+	// OnVictim runs once the activation is recorded, outside the
+	// manager's locks, so it can fire just after the victim's Lock has
+	// already returned: wait for the call itself.
+	select {
+	case <-called:
+	case <-time.After(5 * time.Second):
+		t.Fatal("OnVictim never called")
 	}
 	if victims.Load() != 1 {
 		t.Fatalf("OnVictim called %d times", victims.Load())

@@ -20,10 +20,10 @@ import (
 )
 
 // Table is the slice of the lock-table API the detector reads and
-// mutates. *table.Table implements it directly; the public hwtwbg
-// package also implements it with a multi-shard adapter, so one
-// detector activation can run over S sharded tables as if they were a
-// single merged table (the stop-the-world seam of the sharded facade).
+// mutates. *table.Table implements it directly, and table.SnapView over
+// a merged snapshot of S sharded tables, so one detector activation can
+// run over the shards as if they were a single table (the hwtwbg tests
+// also run it over the live shards through a stop-the-world adapter).
 //
 // EachResource must iterate in global resource-id order: the Step 1
 // wiring, and therefore every victim and TDR-2 choice, is defined over
@@ -140,11 +140,11 @@ type CycleEdge struct {
 func (e CycleEdge) W() bool { return e.Mode != lock.NL }
 
 // Resolution records one cycle the directed walk found and the TDR
-// decision that resolved it, in discovery order. STW callers apply
-// resolutions directly (the table the detector ran over was live);
-// snapshot callers replay them against the live shards, re-verifying
-// each Cycle first and dropping resolutions whose evidence no longer
-// holds (false cycles from a torn snapshot).
+// decision that resolved it, in discovery order. A detector run over
+// live tables has already applied them; a detector run over a snapshot
+// leaves its caller to replay them against the live shards,
+// re-verifying each Cycle first and dropping resolutions whose evidence
+// no longer holds (false cycles from a torn snapshot).
 type Resolution struct {
 	// Cycle is the cycle's edge list in cycle order (each edge's To is
 	// the next edge's From; the last edge closes back to the first).

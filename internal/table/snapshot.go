@@ -24,26 +24,22 @@ import (
 // per-sub freelists, so a steady-state copy-out allocates (almost)
 // nothing whether the round is incremental or full.
 //
-// Two filling disciplines share the machinery:
-//
-//   - indexed (the incremental detector): BeginRound, then per shard
-//     either ShardClean (skip) or CopyShard+FinishShard, then one
-//     MergeShards call with the dirty indexes. CopyShard for distinct
-//     indexes may run concurrently; everything else is serial.
-//   - sequential (legacy CopyInto): each call copies one table into the
-//     next index and merges immediately. Reset starts a new round.
+// A round is filled by index: BeginRound, then per shard either
+// ShardClean (skip) or CopyShard+FinishShard, then one MergeShards call
+// with the dirty indexes. CopyShard for distinct indexes may run
+// concurrently; everything else is serial. A full copy is the same
+// round with every index dirty.
 //
 // Detection runs over View, which restricts the resource iteration to
 // resources that can contribute graph edges (see SnapView). Mutating
 // the snapshot through the view (a detector applying its resolutions)
-// marks it dirty, and the next BeginRound/Reset rebuilds everything
+// marks it dirty, and the next BeginRound rebuilds everything
 // from scratch — mutation breaks the sub-arena/merge invariants, and
 // deadlock resolutions are rare enough that a one-round full recopy
 // costs nothing in steady state.
 type Snapshot struct {
 	tb   *Table
 	subs []*subSnapshot
-	seq  int // next index for sequential CopyInto rounds
 
 	// stFree recycles merged txnState records (unbounded: holds at most
 	// the peak live-transaction count, like the sub arenas).
@@ -70,8 +66,7 @@ type Snapshot struct {
 	// the next round invalidates every sub instead of reusing them.
 	mutated bool
 
-	view     SnapView
-	mergeOne [1]int
+	view SnapView
 }
 
 // subSnapshot is one source shard's contribution: a private record
@@ -117,19 +112,12 @@ func NewSnapshot() *Snapshot {
 // Table returns the merged table view. It implements everything a
 // detector needs (including mutation: aborts and repositionings applied
 // to a snapshot stay in the snapshot). The pointer is stable across
-// Reset, so a detect.Detector can be bound to it once.
+// rounds, so a detect.Detector can be bound to it once.
 func (s *Snapshot) Table() *Table { return s.tb }
 
 // View returns the detection-facing view of the merged table. The
 // pointer is stable across rounds.
 func (s *Snapshot) View() *SnapView { return &s.view }
-
-// Reset clears the snapshot for a new sequential round of CopyInto
-// calls, keeping every arena and slice capacity for reuse.
-func (s *Snapshot) Reset() {
-	s.invalidate()
-	s.seq = 0
-}
 
 // invalidate forgets every copy: all records are retired to their
 // freelists (capacities preserved) and the merged table is emptied.
@@ -353,10 +341,10 @@ func (s *Snapshot) MergeShards(dirty []int) {
 
 // rebuildTxn reassembles the merged wait/hold state of one transaction
 // from its per-shard fragments, in ascending sub index order — the same
-// order a sequential full copy visits shards, so the merged held list
-// and the "first wait seen" tie-break (a torn multi-shard copy can show
-// one transaction waiting in two shards) are byte-identical to a full
-// copy of the same sub contents.
+// order a full copy visits shards, so the merged held list and the
+// "first wait seen" tie-break (a torn multi-shard copy can show one
+// transaction waiting in two shards) are byte-identical to a full copy
+// of the same sub contents.
 func (s *Snapshot) rebuildTxn(id TxnID) {
 	st := s.tb.txns[id]
 	if st != nil {
@@ -412,24 +400,6 @@ func (s *Snapshot) rebuildActive() {
 		s.active = append(s.active, sub.active...)
 	}
 	slices.SortFunc(s.active, func(a, b *Resource) int { return cmp.Compare(a.id, b.id) })
-}
-
-// CopyInto deep-copies every resource and every transaction's wait/hold
-// bookkeeping from t into s, sequential discipline: the first call
-// after Reset fills sub 0, the next sub 1, and so on, merging as it
-// goes. The caller must serialize CopyInto against mutations of t (the
-// sharded manager holds t's shard mutex); a transaction whose locks
-// span several source tables has its held list merged. Resource
-// identity is assumed disjoint between source tables (each resource
-// lives in exactly one shard).
-func (t *Table) CopyInto(s *Snapshot) {
-	i := s.seq
-	s.seq++
-	s.ensureSubs(i + 1)
-	s.CopyShard(t, i, 0)
-	s.FinishShard(i)
-	s.mergeOne[0] = i
-	s.MergeShards(s.mergeOne[:])
 }
 
 func (s *Snapshot) allocState() *txnState {

@@ -31,12 +31,29 @@ func buildSnapshotFixture(t *testing.T, tb *Table) {
 	mustReq(5, "R2", lock.X, false) // ...and then queues on R2
 }
 
+// fullCopy runs one complete indexed round over srcs (at most 8),
+// copying every shard at the given epoch.
+func fullCopy(s *Snapshot, srcs []*Table, epoch uint64) {
+	var idx [8]int
+	dirty := idx[:len(srcs)]
+	s.BeginRound(len(srcs))
+	for i, t := range srcs {
+		s.CopyShard(t, i, epoch)
+		s.FinishShard(i)
+		dirty[i] = i
+	}
+	s.MergeShards(dirty)
+}
+
+// TestSnapshotCopyInto copies one table into a snapshot through a full
+// indexed round and checks the merged table is a faithful, independent
+// deep copy.
 func TestSnapshotCopyInto(t *testing.T) {
 	src := New()
 	buildSnapshotFixture(t, src)
 
 	s := NewSnapshot()
-	src.CopyInto(s)
+	fullCopy(s, []*Table{src}, 1)
 	got := s.Table()
 
 	if got.String() != src.String() {
@@ -87,8 +104,7 @@ func TestSnapshotMergesShardedTables(t *testing.T) {
 	}
 
 	s := NewSnapshot()
-	a.CopyInto(s)
-	b.CopyInto(s)
+	fullCopy(s, []*Table{a, b}, 1)
 	got := s.Table()
 
 	if n := got.HeldCount(1); n != 1 {
@@ -105,38 +121,60 @@ func TestSnapshotMergesShardedTables(t *testing.T) {
 	}
 }
 
+// TestSnapshotResetReuse checks that full rounds over warm arenas are
+// (nearly) allocation-free and still faithful, both when every shard is
+// recopied in place (all epochs bumped) and when the snapshot was
+// invalidated first and is rebuilt from its freelists (the round after
+// a detector mutated it).
 func TestSnapshotResetReuse(t *testing.T) {
-	src := New()
-	buildSnapshotFixture(t, src)
+	a, b := New(), New()
+	buildSnapshotFixture(t, a)
+	b.Request(20, "H1", lock.X)
+	b.Request(21, "H1", lock.S) // waiter
+	srcs := []*Table{a, b}
 	s := NewSnapshot()
 
-	// Warm up the arenas, then verify a Reset+CopyInto round trip is
-	// (nearly) allocation-free and still faithful.
-	src.CopyInto(s)
+	fullCopy(s, srcs, 1)
 	want := s.Table().String()
-	allocs := testing.AllocsPerRun(50, func() {
-		s.Reset()
-		src.CopyInto(s)
-	})
-	if got := s.Table().String(); got != want {
-		t.Fatalf("reused snapshot differs:\n got:\n%s\nwant:\n%s", got, want)
-	}
-	// Map reinsertion may allocate a little; copy-out must not scale
-	// allocations with table size.
-	if allocs > 4 {
-		t.Errorf("Reset+CopyInto allocates %.0f objects/run after warm-up, want <= 4", allocs)
+	epoch := uint64(1)
+	for _, tc := range []struct {
+		name  string
+		reset bool
+	}{{"in-place", false}, {"rebuild", true}} {
+		allocs := testing.AllocsPerRun(50, func() {
+			epoch++
+			if tc.reset {
+				s.invalidate()
+			}
+			fullCopy(s, srcs, epoch)
+		})
+		if got := s.Table().String(); got != want {
+			t.Fatalf("%s: reused snapshot differs:\n got:\n%s\nwant:\n%s", tc.name, got, want)
+		}
+		// Map reinsertion may allocate a little; copy-out must not scale
+		// allocations with table size.
+		if allocs > 4 {
+			t.Errorf("%s: full round allocates %.0f objects/run after warm-up, want <= 4", tc.name, allocs)
+		}
 	}
 }
 
+// TestSnapshotTableStableAcrossReset checks the merged table pointer
+// survives rounds, including the full rebuild that follows a mutation
+// through the view: detectors bind to it once.
 func TestSnapshotTableStableAcrossReset(t *testing.T) {
 	s := NewSnapshot()
 	before := s.Table()
 	src := New()
 	buildSnapshotFixture(t, src)
-	src.CopyInto(s)
-	s.Reset()
+	fullCopy(s, []*Table{src}, 1)
+	s.View().Abort(3)
+	fullCopy(s, []*Table{src}, 1)
 	if s.Table() != before {
-		t.Fatalf("Table() pointer changed across Reset; detectors bind to it once")
+		t.Fatalf("Table() pointer changed across rounds; detectors bind to it once")
+	}
+	if !s.Table().Blocked(3) {
+		t.Fatalf("round after a view mutation did not rebuild from the source")
 	}
 }
 
@@ -150,8 +188,7 @@ func TestSnapshotTornWaitKeepsFirst(t *testing.T) {
 	b.Request(1, "Rb", lock.X) // and "again" in b
 
 	s := NewSnapshot()
-	a.CopyInto(s)
-	b.CopyInto(s)
+	fullCopy(s, []*Table{a, b}, 1)
 	rid, _, ok := s.Table().WaitingOn(1)
 	if !ok || rid != "Ra" {
 		t.Fatalf("WaitingOn(1) = (%s, %v), want first-seen (Ra, true)", rid, ok)
@@ -162,19 +199,6 @@ func TestSnapshotTornWaitKeepsFirst(t *testing.T) {
 	if r := s.Table().Resource("Rb"); r == nil || r.QueueLen() != 1 {
 		t.Fatalf("Rb queue not copied")
 	}
-}
-
-// fullCopy runs one complete indexed round over srcs, copying every
-// shard at the given epoch.
-func fullCopy(s *Snapshot, srcs []*Table, epoch uint64) {
-	s.BeginRound(len(srcs))
-	dirty := make([]int, 0, len(srcs))
-	for i, t := range srcs {
-		s.CopyShard(t, i, epoch)
-		s.FinishShard(i)
-		dirty = append(dirty, i)
-	}
-	s.MergeShards(dirty)
 }
 
 // TestSnapshotShardCleanEpoch pins the skip decision: a sub is clean
@@ -386,6 +410,9 @@ func TestSnapshotIncrementalRoundAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkSnapshotCopyInto prices a full indexed round over one warm
+// table: every iteration is a new epoch, so the shard is recopied in
+// place and re-merged.
 func BenchmarkSnapshotCopyInto(b *testing.B) {
 	src := New()
 	for i := 0; i < 64; i++ {
@@ -395,10 +422,10 @@ func BenchmarkSnapshotCopyInto(b *testing.B) {
 		src.Request(TxnID(i+129), rid, lock.X) // one waiter per resource
 	}
 	s := NewSnapshot()
+	srcs := []*Table{src}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Reset()
-		src.CopyInto(s)
+		fullCopy(s, srcs, uint64(i+1))
 	}
 }

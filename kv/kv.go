@@ -19,7 +19,7 @@ package kv
 import (
 	"context"
 	"errors"
-	"math/rand"
+	"math/rand/v2"
 	"sort"
 	"sync"
 	"time"
@@ -41,10 +41,6 @@ type Options struct {
 	// Shards is the lock manager's shard count, rounded up to a power
 	// of two (0 derives it from GOMAXPROCS; see hwtwbg.Options.Shards).
 	Shards int
-	// Detector selects the lock manager's detector activation strategy
-	// ("" or hwtwbg.DetectorSnapshot for the snapshot detector,
-	// hwtwbg.DetectorSTW for stop-the-world).
-	Detector string
 	// MaxRetries bounds Update/View retries after deadlock
 	// victimization (default 100).
 	MaxRetries int
@@ -52,10 +48,6 @@ type Options struct {
 	// records per ring (0 = default, negative = disabled; see
 	// hwtwbg.Options.JournalSize).
 	JournalSize int
-	// IncrementalSnapshot controls whether the snapshot detector reuses
-	// clean shards' regions of its previous copy (default on; see
-	// hwtwbg.Options.IncrementalSnapshot).
-	IncrementalSnapshot hwtwbg.IncrementalMode
 	// WAL, when non-nil, receives a redo record batch for every commit;
 	// Recover rebuilds a store from it (the paper's "atomic with
 	// respect to the recovery" substrate).
@@ -89,9 +81,8 @@ func Open(opts Options) *Store {
 	}
 	return &Store{
 		lm: hwtwbg.Open(hwtwbg.Options{
-			Period: opts.DetectEvery, Detector: opts.Detector, Shards: opts.Shards,
+			Period: opts.DetectEvery, Shards: opts.Shards,
 			Tracer: opts.Tracer, JournalSize: opts.JournalSize,
-			IncrementalSnapshot: opts.IncrementalSnapshot,
 		}),
 		opts: opts,
 		wal:  opts.WAL,
@@ -356,7 +347,6 @@ func (s *Store) View(ctx context.Context, fn func(tx *Tx) error) error {
 }
 
 func (s *Store) retry(ctx context.Context, fn func(tx *Tx) error) error {
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	for attempt := 1; attempt <= s.opts.MaxRetries; attempt++ {
 		tx := s.Begin()
 		err := fn(tx)
@@ -374,7 +364,7 @@ func (s *Store) retry(ctx context.Context, fn func(tx *Tx) error) error {
 			return err
 		}
 		// Deadlock victim: back off and retry.
-		backoff := time.Duration(rng.Intn(attempt*500)+100) * time.Microsecond
+		backoff := time.Duration(rand.IntN(attempt*500)+100) * time.Microsecond
 		select {
 		case <-ctx.Done():
 			return ctx.Err()

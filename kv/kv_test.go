@@ -472,3 +472,25 @@ func TestPutAllConflictSerializes(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUpdateUncontendedAllocs pins the allocation cost of an Update
+// that commits on its first attempt: the retry loop's backoff jitter is
+// drawn only when a retry actually happens, so a transaction that never
+// retries pays nothing for it.
+func TestUpdateUncontendedAllocs(t *testing.T) {
+	s := Open(Options{Shards: 1})
+	defer s.Close()
+	ctx := context.Background()
+	put := func(tx *Tx) error { return tx.Put(ctx, "k", "v") }
+	if err := s.Update(ctx, put); err != nil { // warm the pools
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := s.Update(ctx, put); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 5 {
+		t.Fatalf("uncontended Update allocates %.0f objects/run, want <= 5", allocs)
+	}
+}

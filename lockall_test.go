@@ -336,12 +336,18 @@ func TestLockAllSequentialEquivalence(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 
-			// replay drives one manager through the script. The oracle
-			// decisions depend only on the script, so every replay issues
-			// the same effective sequence; batched switches grantable runs
-			// from sequential Lock calls to LockAll.
-			replay := func(detector string, batched bool) *Manager {
-				m := Open(Options{Shards: 4, Detector: detector, Audit: true})
+			// replay drives one manager through the script and returns it
+			// with the labelled activation (stop-the-world oracle or
+			// production snapshot). The oracle decisions depend only on the
+			// script, so every replay issues the same effective sequence;
+			// batched switches grantable runs from sequential Lock calls to
+			// LockAll.
+			type replayed struct {
+				*Manager
+				detect func() Stats
+			}
+			replay := func(label string, batched bool) replayed {
+				m, detect := openLabelled(label, Options{Shards: 4, Audit: true})
 				oracle := table.New()
 				txns := make([]*Txn, nTxns)
 				for i := range txns {
@@ -397,14 +403,14 @@ func TestLockAllSequentialEquivalence(t *testing.T) {
 					}
 					issue(tx, run)
 				}
-				return m
+				return replayed{m, detect}
 			}
 
-			ms := map[string]*Manager{
-				"seq/stw":  replay(DetectorSTW, false),
-				"bat/stw":  replay(DetectorSTW, true),
-				"seq/snap": replay(DetectorSnapshot, false),
-				"bat/snap": replay(DetectorSnapshot, true),
+			ms := map[string]replayed{
+				"seq/stw":  replay(labelSTW, false),
+				"bat/stw":  replay(labelSTW, true),
+				"seq/snap": replay(labelSnapshot, false),
+				"bat/snap": replay(labelSnapshot, true),
 			}
 			order := []string{"seq/stw", "bat/stw", "seq/snap", "bat/snap"}
 			defer func() {
@@ -428,9 +434,9 @@ func TestLockAllSequentialEquivalence(t *testing.T) {
 				if round > nTxns {
 					t.Fatalf("detectors did not quiesce after %d rounds", round)
 				}
-				ref := ms[order[0]].Detect()
+				ref := ms[order[0]].detect()
 				for _, k := range order[1:] {
-					st := ms[k].Detect()
+					st := ms[k].detect()
 					if st.CyclesSearched != ref.CyclesSearched || st.Aborted != ref.Aborted ||
 						st.Repositioned != ref.Repositioned || st.Salvaged != ref.Salvaged {
 						t.Fatalf("round %d decisions diverge:\n%s %+v\n%s %+v", round, order[0], ref, k, st)
@@ -458,7 +464,7 @@ func TestLockAllSequentialEquivalence(t *testing.T) {
 				if ms[k].Deadlocked() {
 					t.Fatalf("%s left a deadlock unresolved", k)
 				}
-				assertAuditClean(t, ms[k])
+				assertAuditClean(t, ms[k].Manager)
 			}
 		})
 	}

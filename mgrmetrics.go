@@ -101,12 +101,11 @@ func (sm *shardMetrics) snapshot() ShardMetricsSnapshot {
 
 // PhaseTotals accumulates the detector's per-phase wall clock over the
 // manager's lifetime: Acquire (waiting for shard locks), Copy (snapshot
-// copy-out, DetectorSnapshot only), Build (Step 1, TST construction),
-// Search (Step 2, the directed walk with TDR-1/TDR-2 resolution),
-// Resolve (Step 3, abort confirmation and queue rescheduling), Validate
-// (live re-verification and application of snapshot resolutions,
-// DetectorSnapshot only) and Wake (applying wakes and releasing the
-// world, DetectorSTW only).
+// copy-out), Build (Step 1, TST construction), Search (Step 2, the
+// directed walk with TDR-1/TDR-2 resolution), Resolve (Step 3, abort
+// confirmation and queue rescheduling), Validate (live re-verification
+// and application of snapshot resolutions) and Wake (always zero; see
+// ActivationReport).
 //
 // Every tag here must name an ActivationReport tag (a renamed phase
 // would silently decouple the accumulator from the per-activation
@@ -194,7 +193,7 @@ func (m *Manager) PublishExpvar(name string) {
 // exposition format: request/grant counters (aggregate per mode and
 // per shard), the wait-latency, time-to-grant and queue-depth
 // histograms (aggregated across shards), and the detector's lifetime
-// counters with the per-phase stop-the-world breakdown.
+// counters with the per-phase breakdown.
 func (m *Manager) WritePrometheus(w io.Writer) error {
 	snap := m.MetricsSnapshot()
 	bw := &errWriter{w: w}
@@ -252,10 +251,10 @@ func (m *Manager) WritePrometheus(w io.Writer) error {
 	} {
 		fmt.Fprintf(bw, "hwtwbg_detector_phase_seconds_total{phase=%q} %.9g\n", ph.name, ph.d.Seconds())
 	}
-	metrics.WriteGauge(bw, "hwtwbg_detector_stw_seconds_total", "Cumulative worst grant-path stall (STW pause, or snapshot copy hold).", nil, st.STWTotal.Seconds())
+	metrics.WriteGauge(bw, "hwtwbg_detector_stw_seconds_total", "Cumulative worst grant-path stall (longest single-shard copy hold per activation).", nil, st.STWTotal.Seconds())
 	metrics.WriteGauge(bw, "hwtwbg_detector_stw_last_seconds", "Most recent activation's worst grant-path stall.", nil, st.STWLast.Seconds())
 	metrics.WriteGauge(bw, "hwtwbg_detector_stw_max_seconds", "Worst single-activation grant-path stall.", nil, st.STWMax.Seconds())
-	metrics.WriteGauge(bw, "hwtwbg_detector_period_seconds", "Live detection interval (self-tuned when AdaptivePeriod).", nil, m.CurrentPeriod().Seconds())
+	metrics.WriteGauge(bw, "hwtwbg_detector_period_seconds", "Live detection interval (self-tuned under costmodel scheduling).", nil, m.CurrentPeriod().Seconds())
 
 	cm := snap.CostModel
 	metrics.WriteCounter(bw, "hwtwbg_costmodel_samples_total", "Detector activations folded into the scheduling cost model.", nil, uint64(cm.Samples))

@@ -281,21 +281,20 @@ func (m *Manager) unlockShards(idx []uint32) {
 	}
 }
 
-// multiTable presents S sharded lock tables to the detector (and to
-// twbg.Build) as one merged table implementing detect.Table. Every
-// method accesses the shard tables WITHOUT locking: a multiTable may
-// only be used by a goroutine that has stopped the world, which is what
-// makes the lock-free access — and the globally consistent view the
-// detector needs — safe.
+// multiTable presents S sharded lock tables to twbg.Build (and to the
+// diagnostic renderers) as one merged table. Every method accesses the
+// shard tables WITHOUT locking: a multiTable may only be used by a
+// goroutine that has stopped the world, which is what makes the
+// lock-free access — and the globally consistent view — safe.
 type multiTable struct {
 	shards  []*shard
-	scratch []*table.Resource // merged, id-sorted resource list, reused across activations
+	scratch []*table.Resource // merged, id-sorted resource list, reused across calls
 }
 
 // EachResource iterates every locked resource across all shards in
 // global id order — the order the detector's Step 1 wiring and victim
-// choices are defined over, so a sharded manager resolves any given
-// logical state identically to a single-table one.
+// choices are defined over, so a merged view of the shards builds the
+// same graph a single table holding the same state would.
 func (mt *multiTable) EachResource(f func(*table.Resource) bool) {
 	mt.scratch = mt.scratch[:0]
 	for _, s := range mt.shards {
@@ -312,67 +311,6 @@ func (mt *multiTable) EachResource(f func(*table.Resource) bool) {
 	}
 }
 
-// Resource dispatches to the owning shard.
-func (mt *multiTable) Resource(rid table.ResourceID) *table.Resource {
-	return mt.shardTable(rid).Resource(rid)
-}
-
-// WaitingOn finds the (at most one) shard in which txn is blocked.
-func (mt *multiTable) WaitingOn(txn table.TxnID) (table.ResourceID, Mode, bool) {
-	for _, s := range mt.shards {
-		if rid, bm, ok := s.tb.WaitingOn(txn); ok {
-			return rid, bm, true
-		}
-	}
-	return "", NL, false
-}
-
-// PeekAVST dispatches to the owning shard.
-func (mt *multiTable) PeekAVST(rid table.ResourceID, j table.TxnID) (av, st []table.QueueEntry) {
-	return mt.shardTable(rid).PeekAVST(rid, j)
-}
-
-// RepositionAVST dispatches the TDR-2 queue surgery to the owning shard.
-func (mt *multiTable) RepositionAVST(rid table.ResourceID, j table.TxnID) (av, st []table.QueueEntry) {
-	s := mt.shardFor(rid)
-	s.epoch.bump()
-	return s.tb.RepositionAVST(rid, j)
-}
-
-// Abort removes txn from every shard it touches, collecting the grants.
-func (mt *multiTable) Abort(txn table.TxnID) []table.Grant {
-	var grants []table.Grant
-	for _, s := range mt.shards {
-		if s.tb.HeldCount(txn) == 0 && !s.tb.Blocked(txn) {
-			continue // nothing of txn here; keep the shard's epoch clean
-		}
-		gs := s.tb.Abort(txn)
-		grants = append(grants, gs...)
-		s.countGrants(gs)
-		s.epoch.bump()
-	}
-	return grants
-}
-
-// ScheduleQueue dispatches to the owning shard.
-func (mt *multiTable) ScheduleQueue(rid table.ResourceID) []table.Grant {
-	s := mt.shardFor(rid)
-	gs := s.tb.ScheduleQueue(rid)
-	s.countGrants(gs)
-	s.epoch.bump()
-	return gs
-}
-
-// heldCount sums txn's holder entries across shards; the default
-// victim-cost metric (locks held + 1) is priced with it.
-func (mt *multiTable) heldCount(txn table.TxnID) int {
-	n := 0
-	for _, s := range mt.shards {
-		n += s.tb.HeldCount(txn)
-	}
-	return n
-}
-
 // String renders the merged table in the paper's notation, one resource
 // per line in id order.
 func (mt *multiTable) String() string {
@@ -385,12 +323,4 @@ func (mt *multiTable) String() string {
 		return true
 	})
 	return out
-}
-
-func (mt *multiTable) shardFor(rid table.ResourceID) *shard {
-	return mt.shards[shardIndex(rid, uint32(len(mt.shards)-1))]
-}
-
-func (mt *multiTable) shardTable(rid table.ResourceID) *table.Table {
-	return mt.shardFor(rid).tb
 }

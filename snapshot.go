@@ -8,9 +8,9 @@ import (
 	"hwtwbg/internal/detect"
 )
 
-// The snapshot detector (DetectorSnapshot) is the manager's answer to
-// the stop-the-world pause: instead of freezing every shard for the
-// whole activation, it copies each shard's lock table into a reusable
+// The snapshot detector is the manager's one activation path, and its
+// answer to the stop-the-world pause: instead of freezing every shard
+// for the whole activation, it copies each shard's lock table into a reusable
 // arena under only that shard's mutex — each held just long enough to
 // copy — and runs the paper's Steps 1–3 over the merged snapshot with
 // no shard locks held at all. Because the copies are taken at
@@ -23,8 +23,7 @@ import (
 // validate.go for why a cycle that verifies live is always a real
 // deadlock.
 //
-// The copy-out is incremental by default (Options.IncrementalSnapshot):
-// every mutating mutex round bumps its shard's epoch counter, and a
+// The copy-out is incremental: every mutating mutex round bumps its shard's epoch counter, and a
 // shard whose epoch is unchanged since the detector's previous copy is
 // not recopied — its sub-arena is reused in place — while the dirty
 // shards are copied concurrently across a bounded worker pool. The
@@ -62,21 +61,18 @@ func copyWorkers(n int) int {
 }
 
 // copySnapshot fills the snapshot for one activation: pick the dirty
-// shards (all of them with incremental snapshots off), copy each under
-// its own mutex — concurrently when there are enough — and merge.
+// shards, copy each under its own mutex — concurrently when there are
+// enough — and merge.
 // Caller holds detMu. Per-shard timing (acquire/hold split, max hold)
 // is taken only when an ActivationReport consumer exists; otherwise the
 // whole phase is two clock reads attributed to Copy.
 func (m *Manager) copySnapshot() snapCopy {
 	var cp snapCopy
 	n := len(m.shards)
-	// With incremental snapshots off every shard is treated as dirty —
-	// same copy machinery, no skipping — which recopies each record in
-	// place instead of tearing the arenas down (Reset) and rebuilding.
 	m.snap.BeginRound(n)
 	dirty := m.dirtyScratch[:0]
 	for i, s := range m.shards {
-		if m.incremental && m.snap.ShardClean(i, s.epoch.load()) {
+		if m.snap.ShardClean(i, s.epoch.load()) {
 			cp.skipped++
 		} else {
 			dirty = append(dirty, i)
@@ -156,7 +152,7 @@ func (m *Manager) copyShards(idx []int) (acquire, copied, maxHold time.Duration)
 	return acquire, copied, maxHold
 }
 
-// detectSnapshot is one snapshot-mode activation. Caller holds detMu.
+// detectSnapshot is one activation. Caller holds detMu.
 func (m *Manager) detectSnapshot() Stats {
 	start := time.Now()
 	cp := m.copySnapshot()
@@ -164,7 +160,7 @@ func (m *Manager) detectSnapshot() Stats {
 		hook()
 	}
 	pre := m.auditPreSnapshot()
-	res := m.snapDet.Run()
+	res := m.det.Run()
 	vstart := time.Now()
 	out := m.applyResolutions(res.Resolutions)
 	m.auditPostSnapshot(pre, res)
@@ -217,9 +213,9 @@ type replayOutcome struct {
 
 // applyResolutions replays the snapshot detector's resolutions against
 // the live shards, re-validating each one first. The replay reproduces
-// the STW activation's order on an unchanged state, so the two
-// detectors make identical decisions whenever the world happens to be
-// quiescent:
+// the order of a stop-the-world activation (the algorithm run directly
+// over the frozen live tables) on an unchanged state, so the two make
+// identical decisions whenever the world happens to be quiescent:
 //
 //  1. discovery order — validate each cycle and apply TDR-2 queue
 //     surgeries immediately (Step 2 repositions as it walks, and a
