@@ -304,3 +304,33 @@ func TestJournalStatsInMetrics(t *testing.T) {
 		t.Fatalf("torn reads = %d, want 0", snap.Journal.TornReads)
 	}
 }
+
+// TestJournalLockFreeTxnLeavesNoRecord checks the lazy-begin rule end to
+// end: a transaction that finishes without ever requesting a lock
+// journals nothing — no begin, and so no commit or abort either — and
+// the analyzer reports no orphaned lifecycle records (which it would
+// otherwise blame on ring overwrite).
+func TestJournalLockFreeTxnLeavesNoRecord(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		finish func(*Txn) error
+	}{
+		{"commit", (*Txn).Commit},
+		{"abort", func(tx *Txn) error { tx.Abort(); return nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := Open(Options{Shards: 1})
+			defer m.Close()
+			if err := tc.finish(m.Begin()); err != nil {
+				t.Fatal(err)
+			}
+			recs := m.Journal().Snapshot()
+			if len(recs) != 0 {
+				t.Fatalf("lock-free %s journaled %v, want nothing", tc.name, summarize(recs))
+			}
+			if rep := journal.Analyze(recs); rep.Orphans != 0 {
+				t.Fatalf("Analyze orphans = %d, want 0", rep.Orphans)
+			}
+		})
+	}
+}

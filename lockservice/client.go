@@ -23,6 +23,10 @@ type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
 	r    *bufio.Reader
+	// next is the transaction the server began in its reply to the last
+	// Commit or Abort (COMMIT NEXT / ABORT NEXT), which the next Begin
+	// hands out without a round trip; 0 = none. Guarded by mu.
+	next hwtwbg.TxnID
 
 	// tag is the sticky op tag appended to transaction-scoped requests
 	// (SetOpTag); 0 = none.
@@ -68,8 +72,10 @@ func (c *Client) Close() error {
 // LOCK, LOCKALL and TRYLOCK request carries a trailing ` tag=<n>` field
 // and the server attaches it to the transaction (hwtwbg.Txn.SetTag), so
 // postmortems and `hwtrace report` group this client's wait chains
-// under the tag. Zero clears. Servers predating the tag field reject
-// tagged LOCK requests, so only set a tag against current servers.
+// under the tag; a transaction Begin took from a chained Commit or
+// Abort gets it from its first lock request. Zero clears. Servers
+// predating the tag field reject tagged LOCK requests, so only set a
+// tag against current servers.
 func (c *Client) SetOpTag(tag uint64) { c.tag.Store(tag) }
 
 // OpTag returns the sticky operation tag (0 when none).
@@ -89,6 +95,11 @@ func (c *Client) tagSuffix() string {
 func (c *Client) roundTrip(req string) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.exchange(req)
+}
+
+// exchange is roundTrip for a caller already holding c.mu.
+func (c *Client) exchange(req string) (string, error) {
 	if _, err := fmt.Fprintf(c.conn, "%s\n", req); err != nil {
 		return "", err
 	}
@@ -127,22 +138,42 @@ func (c *Client) Ping() error {
 	return c.observe(VerbPing, start, err)
 }
 
-// Begin starts a transaction and returns its server-side id.
-func (c *Client) Begin() (hwtwbg.TxnID, error) {
-	start := time.Now()
-	resp, err := c.roundTrip("BEGIN" + c.tagSuffix())
-	if err != nil {
-		return 0, c.observe(VerbBegin, start, err)
-	}
-	if err := parseErr(resp); err != nil {
-		return 0, c.observe(VerbBegin, start, err)
-	}
+// parseTxnID reads the id out of an "OK <txn-id>" reply to verb.
+func parseTxnID(verb, resp string) (hwtwbg.TxnID, error) {
 	n, err := strconv.Atoi(strings.TrimPrefix(resp, "OK "))
 	if err != nil {
-		return 0, c.observe(VerbBegin, start, fmt.Errorf("lockservice: malformed BEGIN reply %q", resp))
+		return 0, fmt.Errorf("lockservice: malformed %s reply %q", verb, resp)
 	}
-	c.observe(VerbBegin, start, nil)
 	return hwtwbg.TxnID(n), nil
+}
+
+// Begin starts a transaction and returns its server-side id. After a
+// successful Commit, or any Abort, against a current server, the
+// server has already begun the next transaction in its reply, and
+// Begin returns that id with no I/O; otherwise (first transaction,
+// failed commit, older server) it sends BEGIN. Either way the call
+// counts as one BEGIN in Metrics.
+func (c *Client) Begin() (hwtwbg.TxnID, error) {
+	start := time.Now()
+	id, err := c.begin()
+	return id, c.observe(VerbBegin, start, err)
+}
+
+func (c *Client) begin() (hwtwbg.TxnID, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if id := c.next; id != 0 {
+		c.next = 0
+		return id, nil
+	}
+	resp, err := c.exchange("BEGIN" + c.tagSuffix())
+	if err != nil {
+		return 0, err
+	}
+	if err := parseErr(resp); err != nil {
+		return 0, err
+	}
+	return parseTxnID("BEGIN", resp)
 }
 
 // Lock blocks until the lock is granted, returning ErrAborted if the
@@ -191,24 +222,41 @@ func (c *Client) TryLock(resource string, mode hwtwbg.Mode) error {
 	return c.observe(VerbTryLock, start, parseErr(resp))
 }
 
-// Commit commits the transaction, releasing every lock.
+// Commit commits the transaction, releasing every lock. On success the
+// server also begins the connection's next transaction (see Begin).
 func (c *Client) Commit() error {
 	start := time.Now()
-	resp, err := c.roundTrip("COMMIT")
-	if err != nil {
-		return c.observe(VerbCommit, start, err)
-	}
-	return c.observe(VerbCommit, start, parseErr(resp))
+	return c.observe(VerbCommit, start, c.finish("COMMIT NEXT"))
 }
 
-// Abort rolls the transaction back.
+// Abort rolls the transaction back; the server also begins the
+// connection's next transaction (see Begin).
 func (c *Client) Abort() error {
 	start := time.Now()
-	resp, err := c.roundTrip("ABORT")
+	return c.observe(VerbAbort, start, c.finish("ABORT NEXT"))
+}
+
+// finish sends a chaining COMMIT or ABORT and keeps the id of the
+// transaction the server began in its reply. A bare OK comes from a
+// server that predates chaining, and a failure never chains; either
+// leaves no id, so the next Begin does a BEGIN round trip.
+func (c *Client) finish(req string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.next = 0
+	resp, err := c.exchange(req)
 	if err != nil {
-		return c.observe(VerbAbort, start, err)
+		return err
 	}
-	return c.observe(VerbAbort, start, parseErr(resp))
+	if err := parseErr(resp); err != nil || resp == "OK" {
+		return err
+	}
+	id, err := parseTxnID(req, resp)
+	if err != nil {
+		return err
+	}
+	c.next = id
+	return nil
 }
 
 // Stats is the server's detector statistics plus the service-level
@@ -268,7 +316,6 @@ type Stats struct {
 // The wireschema analyzer holds this parser's key vocabulary equal to
 // the server's STATS emitter — both the recognition switch and the
 // assignment switch below must cover every emitted key.
-//
 func (c *Client) Stats() (Stats, error) {
 	start := time.Now()
 	st, err := c.stats()

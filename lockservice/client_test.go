@@ -15,13 +15,24 @@ import (
 // fakeServer answers each request line with the next canned reply.
 func fakeServer(t *testing.T, replies ...string) *Client {
 	t.Helper()
+	c, _ := scriptedServer(t, replies...)
+	return c
+}
+
+// scriptedServer is fakeServer that also reports each request line it
+// read, so a test can check what the client put on the wire.
+func scriptedServer(t *testing.T, replies ...string) (*Client, <-chan string) {
+	t.Helper()
 	cs, ss := net.Pipe()
+	reqs := make(chan string, len(replies)) // one request per canned reply
 	go func() {
 		r := bufio.NewReader(ss)
 		for _, reply := range replies {
-			if _, err := r.ReadString('\n'); err != nil {
+			line, err := r.ReadString('\n')
+			if err != nil {
 				return
 			}
+			reqs <- strings.TrimSpace(line)
 			fmt.Fprintf(ss, "%s\n", reply)
 		}
 		// Drain the QUIT from Close.
@@ -30,7 +41,7 @@ func fakeServer(t *testing.T, replies ...string) *Client {
 	}()
 	c := NewClient(cs)
 	t.Cleanup(func() { c.Close() })
-	return c
+	return c, reqs
 }
 
 func TestClientMalformedReplies(t *testing.T) {

@@ -14,8 +14,14 @@
 //	                         hwtwbg.Txn.LockAll; on ABORTED/ERR mid-batch, locks
 //	                         granted by earlier rounds stay held until COMMIT/ABORT)
 //	TRYLOCK <resource> <mode> -> OK | BUSY | ABORTED | ERR <msg>
-//	COMMIT                -> OK | ERR <msg>
-//	ABORT                 -> OK
+//	COMMIT [NEXT]         -> OK | OK <txn-id> | ABORTED | ERR <msg>
+//	ABORT [NEXT]          -> OK | OK <txn-id>
+//	                         (with NEXT, a successful commit or any abort
+//	                         begins the connection's next transaction at
+//	                         once and replies with its id, as BEGIN would —
+//	                         the sequential model makes that BEGIN certain,
+//	                         so chaining saves its round trip; a failed
+//	                         commit never chains)
 //	STATS                 -> OK runs=<n> cycles=<n> aborted=<n> repositioned=<n> salvaged=<n>
 //	                            stw_total_ns=<n> stw_last_ns=<n> stw_max_ns=<n> shard_grants=<n>
 //	                            false_cycles=<n> validations=<n> period_ns=<n>
@@ -223,6 +229,27 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
+// begin starts the session's next transaction and renders BEGIN's
+// reply, which a chained COMMIT or ABORT shares.
+func (sess *session) begin() string {
+	sess.txn = sess.srv.lm.Begin()
+	return fmt.Sprintf("OK %d", int(sess.txn.ID()))
+}
+
+// chainArg parses the optional argument of COMMIT and ABORT: next
+// reports a trailing NEXT, and ok is false for any other argument
+// shape.
+func chainArg(fields []string) (next, ok bool) {
+	switch {
+	case len(fields) == 1:
+		return false, true
+	case len(fields) == 2 && strings.EqualFold(fields[1], "NEXT"):
+		return true, true
+	default:
+		return false, false
+	}
+}
+
 // dispatch executes one protocol line against the session.
 //
 // The STATS reply's key=value vocabulary is the wire contract checked
@@ -272,9 +299,9 @@ func (sess *session) dispatch(line string) (resp string, quit bool) {
 			}
 			sess.txn.Recycle() // finished (aborted) handle: hand it back
 		}
-		sess.txn = sess.srv.lm.Begin()
+		resp := sess.begin()
 		setTag()
-		return fmt.Sprintf("OK %d", int(sess.txn.ID())), false
+		return resp, false
 	case "LOCK", "TRYLOCK":
 		if len(fields) != 3 {
 			return "ERR usage: " + cmd + " <resource> <mode>", false
@@ -336,6 +363,10 @@ func (sess *session) dispatch(line string) (resp string, quit bool) {
 			return "ERR " + err.Error(), false
 		}
 	case "COMMIT":
+		next, ok := chainArg(fields)
+		if !ok {
+			return "ERR usage: COMMIT [NEXT]", false
+		}
 		if sess.txn == nil {
 			return "ERR no transaction", false
 		}
@@ -343,17 +374,29 @@ func (sess *session) dispatch(line string) (resp string, quit bool) {
 		sess.txn.Recycle() // no-op if Commit failed with the txn still live
 		sess.txn = nil
 		if err != nil {
+			// A failed commit never chains: the client learns of the
+			// failure and retries with a BEGIN of its own.
 			if errors.Is(err, hwtwbg.ErrAborted) {
 				return "ABORTED", false
 			}
 			return "ERR " + err.Error(), false
 		}
+		if next {
+			return sess.begin(), false
+		}
 		return "OK", false
 	case "ABORT":
+		next, ok := chainArg(fields)
+		if !ok {
+			return "ERR usage: ABORT [NEXT]", false
+		}
 		if sess.txn != nil {
 			sess.txn.Abort()
 			sess.txn.Recycle()
 			sess.txn = nil
+		}
+		if next {
+			return sess.begin(), false
 		}
 		return "OK", false
 	case "STATS":

@@ -152,20 +152,17 @@ func (t *Txn) journalBegin(ts int64) {
 }
 
 // journalLifecycle writes one lifecycle record (commit/abort) to the
-// flight recorder's control ring. No-op when the journal is disabled;
-// never takes a lock, never allocates, never blocks.
-func (m *Manager) journalLifecycle(kind journal.Kind, id TxnID) {
-	if m.jr == nil {
+// flight recorder's control ring, but only for a transaction whose begin
+// record was journaled: one that never requested a lock leaves no record
+// at all (see journalBegin), so an end record without its begin always
+// means ring overwrite to journal.Analyze. begun implies the journal is
+// enabled. Never takes a lock, never allocates, never blocks.
+func (t *Txn) journalLifecycle(kind journal.Kind) {
+	if !t.begun {
 		return
 	}
-	m.journalKind(kind, id)
-}
-
-// journalKind emits one control-ring record of the given kind. The
-// caller has already established m.jr != nil.
-func (m *Manager) journalKind(kind journal.Kind, id TxnID) {
-	rec := journal.Record{Txn: int64(id), Kind: kind}
-	m.jr.Control().Emit(&rec)
+	rec := journal.Record{Txn: int64(t.id), Kind: kind}
+	t.m.jr.Control().Emit(&rec)
 }
 
 // ID returns the transaction identifier.
@@ -456,7 +453,7 @@ func (t *Txn) waitGrant(ctx context.Context, s *shard, ch chan struct{}, start t
 				s.mu.Unlock()
 				putWaiter(ch)
 				met.waitAborts.Inc()
-				t.m.journalLifecycle(journal.KindAbort, t.id)
+				t.journalLifecycle(journal.KindAbort)
 				if tr != nil {
 					tr.OnAbort(t.id)
 				}
@@ -479,7 +476,7 @@ func (t *Txn) waitGrant(ctx context.Context, s *shard, ch chan struct{}, start t
 					// condemns, but arrives with closed already set).
 					t.m.cost.observeVictimWait(time.Since(start), t.m.CurrentPeriod())
 				}
-				t.m.journalLifecycle(journal.KindAbort, t.id)
+				t.journalLifecycle(journal.KindAbort)
 				if tr != nil {
 					tr.OnAbort(t.id)
 				}
@@ -640,7 +637,7 @@ func (t *Txn) Commit() error {
 	// Close may have raced with the releases above; honor its verdict.
 	if t.consumeCondemned() {
 		t.state = abortedState
-		t.m.journalLifecycle(journal.KindAbort, t.id)
+		t.journalLifecycle(journal.KindAbort)
 		if tr := t.m.opts.Tracer; tr != nil {
 			tr.OnAbort(t.id)
 		}
@@ -648,7 +645,7 @@ func (t *Txn) Commit() error {
 	}
 	t.state = committedState
 	t.clearTouched()
-	t.m.journalLifecycle(journal.KindCommit, t.id)
+	t.journalLifecycle(journal.KindCommit)
 	return nil
 }
 
@@ -660,7 +657,7 @@ func (t *Txn) Abort() {
 	}
 	t.abortTables()
 	t.state = abortedState
-	t.m.journalLifecycle(journal.KindAbort, t.id)
+	t.journalLifecycle(journal.KindAbort)
 	if tr := t.m.opts.Tracer; tr != nil {
 		tr.OnAbort(t.id)
 	}
